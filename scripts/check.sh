@@ -65,6 +65,13 @@ STRUCTURA_PARALLEL_ITERS="${STRUCTURA_PARALLEL_ITERS:-1000}" \
 STRUCTURA_CACHE_ITERS="${STRUCTURA_CACHE_ITERS:-1000}" \
   ctest --test-dir "$repo_root/build" --output-on-failure -L parallel
 
+echo "==> entity-resolution differential sweep"
+# Seeded sweep of ResolveEntities against the unpruned resolver kept in
+# tests/ii_test.cc (bit-identical clusters and merged pairs), labelled
+# `ii`. Failures print the exact STRUCTURA_II_SEED to replay.
+STRUCTURA_II_ITERS="${STRUCTURA_II_ITERS:-1000}" \
+  ctest --test-dir "$repo_root/build" --output-on-failure -L ii
+
 echo "==> address+undefined sanitizer build + tests"
 run_suite "$repo_root/build-asan" -DSTRUCTURA_SANITIZE=address,undefined
 

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,14 @@ struct MentionRecord {
   std::string context;      // optional: nearby text, for context-aware scores
 };
 
+/// A mention together with NameMatcher::NormalizeTokens(surface). Entity
+/// resolution normalizes each mention once and hands the tokens to both
+/// blocking and scoring.
+struct NormalizedMention {
+  const MentionRecord* record = nullptr;
+  std::vector<std::string> tokens;
+};
+
 /// Pairwise similarity in [0, 1] between two mentions.
 class SimilarityMatcher {
  public:
@@ -24,6 +33,15 @@ class SimilarityMatcher {
   virtual std::string name() const = 0;
   virtual double Score(const MentionRecord& a,
                        const MentionRecord& b) const = 0;
+
+  /// Score(*a.record, *b.record) when it is >= threshold, else nullopt.
+  /// The value is bit-identical to Score's, so a caller that only keeps
+  /// pairs at or above a threshold gets the same result either way. The
+  /// default scores and compares; matchers with an exact upper bound
+  /// override it to skip the full score of pairs that cannot qualify.
+  virtual std::optional<double> ScoreIfAtLeast(const NormalizedMention& a,
+                                               const NormalizedMention& b,
+                                               double threshold) const;
 };
 
 /// Jaro-Winkler over raw surfaces.
@@ -55,6 +73,11 @@ class NameMatcher : public SimilarityMatcher {
   std::string name() const override { return "name"; }
   double Score(const MentionRecord& a,
                const MentionRecord& b) const override;
+  /// Reuses the normalized tokens and skips Jaro-Winkler when even a
+  /// perfect one (1.0) could not lift the score to `threshold`.
+  std::optional<double> ScoreIfAtLeast(const NormalizedMention& a,
+                                       const NormalizedMention& b,
+                                       double threshold) const override;
 
   /// Normalization used by the matcher (exposed for tests/blocking):
   /// lowercase, comma-reorder, stop-token removal.

@@ -11,7 +11,8 @@ namespace structura::ii {
 
 /// Entity-resolution configuration. Blocking restricts pairwise scoring
 /// to mentions sharing at least one normalized token; without it every
-/// pair is scored (quadratic — kept for the ablation benchmark).
+/// pair is scored (quadratic — the exhaustive reference that
+/// ResolutionTest.BlockingMatchesExhaustiveResults holds blocking to).
 struct ResolutionOptions {
   const SimilarityMatcher* matcher = nullptr;  // required
   double threshold = 0.8;
@@ -29,7 +30,8 @@ struct ResolutionResult {
   /// cluster_of[i] = representative mention index of i's cluster.
   std::vector<size_t> cluster_of;
   size_t num_clusters = 0;
-  /// Number of pairwise similarity computations performed (work metric).
+  /// Number of candidate pairs considered (work metric), including those
+  /// the matcher rejected on its upper bound without a full score.
   size_t pairs_scored = 0;
   /// Pairs that scored above threshold and were merged.
   std::vector<ScoredPair> merged_pairs;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "text/document.h"
 #include "text/similarity.h"
 #include "text/tokenizer.h"
@@ -182,8 +185,11 @@ TEST(TfIdfTest, RareTermsWeighMore) {
 }
 
 // Property sweep: metric identities hold for arbitrary string pairs.
+// The parameters are std::string (not const char*) so the printed value,
+// and hence the discovered test name, is the text rather than a pointer
+// address that changes from run to run.
 class MetricPropertyTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {
+    : public ::testing::TestWithParam<std::pair<std::string, std::string>> {
 };
 
 TEST_P(MetricPropertyTest, RangeSymmetryIdentity) {
@@ -201,13 +207,17 @@ TEST_P(MetricPropertyTest, RangeSymmetryIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(
     Pairs, MetricPropertyTest,
-    ::testing::Values(std::make_pair("David Smith", "D. Smith"),
-                      std::make_pair("Madison", "Madison, Wisconsin"),
-                      std::make_pair("", "x"),
-                      std::make_pair("aaaa", "aaab"),
-                      std::make_pair("completely", "different"),
-                      std::make_pair("a", "a"),
-                      std::make_pair("ABCDEF", "abcdef")));
+    ::testing::Values(std::pair<std::string, std::string>{"David Smith",
+                                                           "D. Smith"},
+                      std::pair<std::string, std::string>{
+                          "Madison", "Madison, Wisconsin"},
+                      std::pair<std::string, std::string>{"", "x"},
+                      std::pair<std::string, std::string>{"aaaa", "aaab"},
+                      std::pair<std::string, std::string>{"completely",
+                                                           "different"},
+                      std::pair<std::string, std::string>{"a", "a"},
+                      std::pair<std::string, std::string>{"ABCDEF",
+                                                           "abcdef"}));
 
 }  // namespace
 }  // namespace structura::text
